@@ -1,8 +1,8 @@
 """Micro-benchmarks: the per-query costs behind the tables.
 
 SEA vs the exact/baseline methods on a fixed facebook query (the Fig. 5c
-response-time comparison at our scale), plus the Spark dataflow
-primitives that carry the bulk-graph stages.
+response-time comparison at our scale), plus the Spark distance dataflow
+and Spark SEA end to end.
 """
 import pytest
 
@@ -57,23 +57,6 @@ def test_vac_single_query(benchmark, fb_ctx):
         rounds=2, iterations=1,
     )
     assert r.community
-
-
-@pytest.mark.benchmark(group="spark-dataflow")
-def test_spark_kcore(benchmark, spark):
-    from repro.graphs import AttributedGraph
-    from repro.spark_core import kcore_subgraph
-
-    prep = prepare("facebook")
-    ag = AttributedGraph.from_local(spark, prep.graph).cache()
-    ag.num_edges()
-
-    def run():
-        ids, _ = kcore_subgraph(ag.edges, 5)
-        return ids.count()
-
-    n = benchmark.pedantic(run, rounds=2, iterations=1)
-    assert n > 0
 
 
 @pytest.mark.benchmark(group="spark-dataflow")

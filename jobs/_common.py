@@ -1,8 +1,11 @@
-"""Shared spark-submit plumbing for the per-table jobs.
+"""Shared plumbing for the jobs.
 
-Each job builds (or reuses) a local SparkSession configured like the
-test fixture — broadcast joins disabled so the shuffle paths are the
-ones exercised — runs one table harness, and prints the table.
+Each job runs one table harness (or one SEA query) and prints the
+result. Only the jobs that run Spark dataflows — Table I's degree
+statistics and the Spark SEA query — build a local SparkSession,
+configured like the test fixture: broadcast joins disabled so the
+shuffle paths are the ones exercised, and no console progress bars in
+the job log.
 """
 import argparse
 
@@ -16,6 +19,7 @@ def session(app: str) -> SparkSession:
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.enabled", "false")
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )
 

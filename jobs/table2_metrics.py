@@ -1,19 +1,17 @@
 """Table II job: attribute cohesiveness of every method under 4 metrics.
 
-    spark-submit jobs/table2_metrics.py [--queries N] [--k K] [--seed S]
+    python jobs/table2_metrics.py [--queries N] [--k K] [--seed S]
 """
-from _common import session, std_parser
+from _common import std_parser
 
 from repro.experiments import format_rows, table2
 
 
 def main() -> None:
     args = std_parser(__doc__).parse_args()
-    spark = session("table2-metrics")  # harness is driver-side; session for parity
     rows, meta = table2(k=args.k or 5, n_queries=args.queries, seed=args.seed)
     print(f"Table II — attribute cohesiveness on facebook ({meta})")
     print(format_rows(rows))
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -1,19 +1,17 @@
 """Table III job: F1 vs ground-truth communities.
 
-    spark-submit jobs/table3_f1.py [--queries N] [--k K] [--seed S]
+    python jobs/table3_f1.py [--queries N] [--k K] [--seed S]
 """
-from _common import session, std_parser
+from _common import std_parser
 
 from repro.experiments import format_rows, table3
 
 
 def main() -> None:
     args = std_parser(__doc__).parse_args()
-    spark = session("table3-f1")
     rows, meta = table3(k=args.k or 5, n_queries=args.queries, seed=args.seed)
     print(f"Table III — F1 w.r.t. ground truth ({meta})")
     print(format_rows(rows))
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -1,18 +1,14 @@
 """Table VI job: size-bounded SEA case-study round trace.
 
-    spark-submit jobs/table6_case_study.py
+    python jobs/table6_case_study.py
 """
-from _common import session
-
 from repro.experiments import format_rows, table6
 
 
 def main() -> None:
-    spark = session("table6-case-study")
     rows, meta = table6()
     print(f"Table VI — size-bounded SEA case study on imdb ({meta})")
     print(format_rows(rows))
-    spark.stop()
 
 
 if __name__ == "__main__":

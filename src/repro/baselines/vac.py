@@ -17,7 +17,7 @@ q-centric δ). Two variants, both for k-core and k-truss substrates:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.graphs.local import LocalGraph
 from repro.metrics.distance import DEFAULT_GAMMA, NormStats, norm_stats_local, pair_distance
@@ -86,37 +86,39 @@ def evac_search(
     if stats is None:
         stats = norm_stats_local(g)
 
-    best: Dict[str, object] = {"obj": _worst_pair(g, root, gamma, stats)[0], "comm": set(root)}
+    best_obj, best_comm = float("inf"), set(root)
     seen: Set[FrozenSet[int]] = {frozenset(root)}
-    counters = {"states": 0, "capped": False}
+    states = 0
+    capped = False
+    # depth-first over deletion-closed states: one (state, worst-pair
+    # endpoints) frame per open state
+    stack: List[Tuple[Set[int], Iterator[int]]] = []
 
-    def visit(state: Set[int]) -> None:
-        if counters["capped"]:
-            return
+    def push(state: Set[int]) -> None:
+        nonlocal best_obj, best_comm
         obj, u, v = _worst_pair(g, state, gamma, stats)
-        if obj < best["obj"]:
-            best["obj"], best["comm"] = obj, set(state)
+        if obj < best_obj:
+            best_obj, best_comm = obj, set(state)
         # only deleting an endpoint of the worst pair can reduce the
         # objective — the classic min-max branching rule
-        for x in (u, v):
-            if x == q or counters["capped"]:
-                continue
-            if counters["states"] >= max_states:
-                counters["capped"] = True
-                return
-            cand, _ = maintain(g, state, q, k, x)
-            counters["states"] += 1
-            key = frozenset(cand)
-            if cand and key not in seen:
-                seen.add(key)
-                visit(cand)
+        stack.append((state, iter((u, v))))
 
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, len(root) * 4 + 1000))
-    try:
-        visit(set(root))
-    finally:
-        sys.setrecursionlimit(old)
-    return set(best["comm"]), counters["states"], counters["capped"]
+    push(set(root))
+    while stack:
+        state, ends = stack[-1]
+        x = next(ends, None)
+        if x is None:
+            stack.pop()
+            continue
+        if x == q:
+            continue
+        if states >= max_states:
+            capped = True
+            break
+        cand, _ = maintain(g, state, q, k, x)
+        states += 1
+        key = frozenset(cand)
+        if cand and key not in seen:
+            seen.add(key)
+            push(cand)
+    return best_comm, states, capped

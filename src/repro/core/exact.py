@@ -1,9 +1,9 @@
 """Exact CS-AG baseline (§IV): enumeration with three pruning strategies.
 
-The maximal connected k-core containing q is found first (Spark dataflow
-for the bulk graph, or the local twin); the search-tree enumeration of
-Algorithm 1 then runs on the driver — each state is a candidate community
-obtained by peeling one more node, and the three prunings cut:
+The maximal connected k-core containing q is found first; the search-tree
+enumeration of Algorithm 1 then runs depth-first over an explicit stack —
+each state is a candidate community obtained by peeling one more node,
+and the three prunings cut:
 
 * **P1 duplicate states** — priority enumeration in descending f(·,q);
   a substate whose cascade-deleted max-f node v_m has
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.graphs.local import (
     LocalGraph,
@@ -37,6 +37,8 @@ from repro.metrics.distance import (
     delta,
     norm_stats_local,
 )
+
+from .validate import check_query
 
 INF = float("inf")
 
@@ -77,11 +79,12 @@ def exact_cs(
 ) -> ExactResult:
     """Algorithm 1 over the maximal connected k-core (or k-truss) of q.
 
-    ``fvals`` may be precomputed (e.g. collected from the Spark distance
-    dataflow); otherwise the local twin computes it. With every pruning
-    disabled this is the raw exponential enumeration — cap it with
-    ``max_states`` (the result is then best-so-far with ``capped=True``).
+    ``fvals`` may be precomputed; otherwise it is computed over the root.
+    With every pruning disabled this is the raw exponential enumeration —
+    cap it with ``max_states`` (the result is then best-so-far with
+    ``capped=True``).
     """
+    check_query(q in g.adj, q, k, gamma)
     t0 = time.perf_counter()
     if model == "core":
         root = maximal_connected_kcore(g, q, k)
@@ -100,63 +103,58 @@ def exact_cs(
             stats = norm_stats_local(g)
         fvals = composite_distances_local(g, q, gamma, stats, nodes=root)
 
-    best: Dict[str, object] = {
-        "delta": delta(fvals, root, q),
-        "community": set(root),
-    }
-    counters = {"states": 0, "dup": 0, "unpromising": 0, "capped": False}
+    best_delta, best_comm = delta(fvals, root, q), set(root)
+    states = dup = unpromising = 0
+    capped = False
+    # depth-first over the search tree: one (state, f_u, candidates) frame
+    # per open state, candidates in priority order (descending f(·,q))
+    stack: List[Tuple[Set[int], float, Iterator[int]]] = []
 
-    def enumerate_from(state: Set[int], state_delta: float, f_u: float) -> None:
-        if counters["capped"]:
-            return
+    def push(state: Set[int], state_delta: float, f_u: float) -> None:
+        nonlocal unpromising
         if prune_unpromising:
             lb = _lower_bound(state, q, fvals, min_others)
-            if lb >= best["delta"]:
-                counters["unpromising"] += 1
+            if lb >= best_delta:
+                unpromising += 1
                 return
         if prune_unnecessary:
             candidates = [v for v in state if v != q and fvals[v] > state_delta]
         else:
             candidates = [v for v in state if v != q]
-        # priority enumeration: descending composite distance to q
         candidates.sort(key=lambda v: (-fvals[v], v))
-        for v in candidates:
-            if counters["capped"]:
-                return
-            if max_states is not None and counters["states"] >= max_states:
-                counters["capped"] = True
-                return
-            new_state, removed = maintain(g, state, q, k, v)
-            counters["states"] += 1
-            if not new_state:
-                continue  # q collapsed out — dead branch
-            f_vm = max(fvals[u] for u in removed)
-            if prune_duplicate and f_vm > f_u:
-                counters["dup"] += 1
-                continue  # Theorem 4: duplicates an earlier state
-            nd = delta(fvals, new_state, q)
-            if nd < best["delta"]:
-                best["delta"] = nd
-                best["community"] = set(new_state)
-            enumerate_from(new_state, nd, fvals[v])
+        stack.append((state, f_u, iter(candidates)))
 
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, len(root) * 4 + 1000))
-    try:
-        enumerate_from(set(root), float(best["delta"]), INF)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    push(set(root), best_delta, INF)
+    while stack:
+        state, f_u, candidates = stack[-1]
+        v = next(candidates, None)
+        if v is None:
+            stack.pop()
+            continue
+        if max_states is not None and states >= max_states:
+            capped = True
+            break
+        new_state, removed = maintain(g, state, q, k, v)
+        states += 1
+        if not new_state:
+            continue  # q collapsed out — dead branch
+        f_vm = max(fvals[u] for u in removed)
+        if prune_duplicate and f_vm > f_u:
+            dup += 1
+            continue  # Theorem 4: duplicates an earlier state
+        nd = delta(fvals, new_state, q)
+        if nd < best_delta:
+            best_delta, best_comm = nd, set(new_state)
+        push(new_state, nd, fvals[v])
 
     return ExactResult(
-        community=set(best["community"]),
-        delta=float(best["delta"]),
-        states=counters["states"],
-        pruned_duplicate=counters["dup"],
-        pruned_unpromising=counters["unpromising"],
+        community=best_comm,
+        delta=float(best_delta),
+        states=states,
+        pruned_duplicate=dup,
+        pruned_unpromising=unpromising,
         elapsed_s=time.perf_counter() - t0,
-        capped=bool(counters["capped"]),
+        capped=capped,
         fvals=dict(fvals),
     )
 

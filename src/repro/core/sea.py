@@ -15,9 +15,9 @@ Pipeline (Fig. 4):
 
 Two front ends share the sample-estimate loop: :func:`sea_search` is the
 all-local path used by the per-query experiment harnesses, while
-:func:`sea_search_spark` runs the bulk stages (distance evaluation,
-neighbourhood BFS, weighted sampling, induced subgraph) as Spark
-dataflows and collects only G_q for the driver-side inner loop — the
+:func:`sea_search_spark` runs the bulk stages (norm stats, distance
+evaluation, neighbourhood BFS, induced subgraph) as Spark dataflows and
+collects only G_q for the driver-side sampling and estimation loop — the
 same split the complexity analysis of §V-D assumes.
 """
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .estimation import (
     moe_threshold,
 )
 from .hoeffding import min_neighborhood_size
+from .validate import check_query
 
 
 @dataclass(frozen=True)
@@ -174,6 +175,7 @@ def sea_search(
     stats: Optional[NormStats] = None,
 ) -> SEAResult:
     """All-local SEA search (Problem 2, Approx-CS-AG)."""
+    check_query(q in g.adj, q, params.k, params.gamma, params.e)
     t0 = time.perf_counter()
     if fvals is None:
         if stats is None:
@@ -331,12 +333,14 @@ def sea_search_spark(graph, q: int, params: SEAParams) -> SEAResult:
     magnitude smaller than the graph — and the sample-estimate loop runs
     on the driver exactly as in :func:`sea_search`.
     """
-    import pandas as pd  # noqa: F401 (documents the collect boundary)
+    from pyspark.sql import functions as F
 
     from repro.metrics.distance import composite_distances, norm_stats_spark
     from repro.spark_core.bfs import prioritized_neighborhood
     from repro.spark_core.degrees import symmetrize
 
+    has_q = graph.nodes.where(F.col("id") == q).limit(1).count() > 0
+    check_query(has_q, q, params.k, params.gamma, params.e)
     t0 = time.perf_counter()
     stats = norm_stats_spark(graph.nodes)
     fdf = composite_distances(graph, q, params.gamma, stats)

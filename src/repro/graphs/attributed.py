@@ -7,16 +7,16 @@
 * ``edges``: ``src: long, dst: long`` stored canonically (``src < dst``,
   deduplicated, no self-loops) plus an optional ``etype: string`` column.
 
-All bulk-graph dataflows (degrees, k-core peeling, BFS, sampling,
-meta-path projection) consume these frames; the driver-side inner loops
-consume the collected :class:`repro.graphs.local.LocalGraph` twin.
+The bulk stages of ``sea_search_spark`` (norm stats, distances, the
+prioritised BFS, the induced G_q) and Table I's degree statistics consume
+these frames. ``from_local`` builds one from a driver-side
+:class:`repro.graphs.local.LocalGraph`; the driver-side inner loops run on
+a ``LocalGraph`` collected from G_q.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -60,11 +60,6 @@ class AttributedGraph:
     nodes: DataFrame
     edges: DataFrame
 
-    def symmetric_edges(self) -> DataFrame:
-        """Both edge directions — the shape iterative dataflows join on."""
-        e = self.edges.select("src", "dst")
-        return e.unionByName(e.select(F.col("dst").alias("src"), F.col("src").alias("dst")))
-
     def num_nodes(self) -> int:
         return self.nodes.count()
 
@@ -85,23 +80,6 @@ class AttributedGraph:
             .join(ids.withColumnRenamed("id", "dst"), "dst")
         )
         return AttributedGraph(nodes, edges.select(self.edges.columns))
-
-    def to_local(self) -> LocalGraph:
-        """Collect to a driver-side :class:`LocalGraph`."""
-        npdf = self.nodes.toPandas()
-        epdf = self.edges.select("src", "dst").toPandas()
-        tattrs = {int(r.id): frozenset(r.tattrs) for r in npdf.itertuples()}
-        nattrs = {int(r.id): np.asarray(r.nattrs, dtype=float) for r in npdf.itertuples()}
-        ntypes = None
-        if "ntype" in npdf.columns and npdf["ntype"].notna().any():
-            ntypes = {int(r.id): r.ntype for r in npdf.itertuples()}
-        return LocalGraph.from_edges(
-            list(zip(epdf["src"], epdf["dst"])),
-            tattrs=tattrs,
-            nattrs=nattrs,
-            ntypes=ntypes,
-            nodes=[int(i) for i in npdf["id"]],
-        )
 
     @staticmethod
     def from_pandas(

@@ -3,13 +3,11 @@
 The paper's per-query inner loops (branch-and-bound enumeration, greedy
 peeling, k-core/k-truss maintenance after a deletion) are sequential and
 operate on small candidate subgraphs (a maximal connected k-core, or the
-induced graph of a sample). Those subgraphs are extracted with the Spark
-primitives in :mod:`repro.spark_core` and collected into a
-:class:`LocalGraph` for the inner loops — mirroring how the original
-single-machine Java implementation runs them.
-
-Every algorithm here has a Spark twin in ``spark_core`` for the bulk-graph
-path; tests cross-validate the two.
+induced graph of a sample). They run on a :class:`LocalGraph` held in
+driver memory — mirroring how the original single-machine Java
+implementation runs them. ``sea_search_spark`` builds its G_q with Spark
+dataflows and collects it into a ``LocalGraph``; every other path
+extracts its subgraphs here.
 """
 from __future__ import annotations
 
@@ -86,8 +84,7 @@ class LocalGraph:
 def core_decomposition(g: LocalGraph) -> Dict[int, int]:
     """Batagelj–Zaveršnik peeling: coreness (core number) of every node.
 
-    O(|E|) using bucket sort on degrees; this is the local twin of the
-    iterative Spark peeling in ``spark_core.kcore``.
+    O(|E|) using bucket sort on degrees.
     """
     deg = {v: len(nbrs) for v, nbrs in g.adj.items()}
     if not deg:

@@ -6,7 +6,6 @@ from .distance import (
     composite_distances,
     composite_distances_local,
     delta,
-    delta_spark,
     jaccard_distance,
     norm_stats_local,
     norm_stats_spark,
@@ -22,7 +21,6 @@ __all__ = [
     "composite_distances_local",
     "delta",
     "delta_metric",
-    "delta_spark",
     "f1_score",
     "jaccard_distance",
     "norm_stats_local",

@@ -11,9 +11,9 @@
   over a reference node population (the whole graph, or the target-typed
   nodes of a heterogeneous graph).
 
-Both a Spark dataflow (bulk: distance of *every* node to q) and a local
-twin (inner loops) are provided; tests cross-validate them and check the
-Spark path against DuckDB SQL oracles.
+Both a Spark dataflow (bulk: distance of *every* node to q, used by
+``sea_search_spark``) and a local twin (inner loops) are provided; tests
+cross-validate them and check the Spark path against DuckDB SQL oracles.
 
 Edge conventions: two empty token sets are identical (fᵗ=0); empty vs
 non-empty is maximally distant (fᵗ=1). A constant numerical dimension
@@ -188,13 +188,3 @@ def delta(fvals: Dict[int, float], community: Set[int], q: int) -> float:
         return 0.0
     return float(np.mean([fvals[v] for v in members]))
 
-
-def delta_spark(fvals: DataFrame, community: DataFrame, q: int) -> float:
-    """Spark twin of :func:`delta`; ``community`` has an ``id`` column."""
-    row = (
-        fvals.join(community.select("id"), "id")
-        .where(F.col("id") != q)
-        .agg(F.avg("f").alias("d"))
-        .collect()[0]
-    )
-    return float(row.d) if row.d is not None else 0.0

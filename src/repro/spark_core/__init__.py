@@ -1,20 +1,13 @@
-"""Distributed (Spark DataFrame) graph primitives."""
+"""Spark DataFrame dataflows on the query and job paths.
+
+``prioritized_neighborhood`` builds G_q for ``sea_search_spark``;
+``degrees`` feeds Table I's degree statistics.
+"""
 from .bfs import prioritized_neighborhood
 from .degrees import degrees, symmetrize
-from .kcore import bfs_component, connected_kcore, kcore_subgraph
-from .ktruss import connected_ktruss, edge_supports, ktruss_edges
-from .sampling import sampling_probabilities, weighted_sample_without_replacement
 
 __all__ = [
-    "bfs_component",
-    "connected_kcore",
-    "connected_ktruss",
     "degrees",
-    "edge_supports",
-    "kcore_subgraph",
-    "ktruss_edges",
     "prioritized_neighborhood",
-    "sampling_probabilities",
     "symmetrize",
-    "weighted_sample_without_replacement",
 ]

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.exact import ExactResult, brute_force_cs, exact_cs
+from repro.experiments import pick_queries, prepare
 from repro.graphs import LocalGraph, maximal_connected_kcore, maximal_connected_ktruss
 from repro.graphs.generator import planted_homogeneous
 from repro.metrics import composite_distances_local, delta, norm_stats_local
@@ -154,3 +155,89 @@ class TestOnPlantedGraph:
         gt = gen.community_of(q)
         # the attribute-cohesive community stays inside q's planted community
         assert len(r.community & gt) / len(r.community) > 0.8
+
+
+# Counters and results of Exact on 5 seeded facebook queries (k=4) under
+# four pruning configurations. Exact's depth-first order decides which
+# states are generated and when P1/P3 fire, so a change to the traversal
+# order moves these numbers even when every optimum stays the same. P1
+# alone exceeds 10^5 states on these queries, so it is capped like the
+# unpruned search.
+PIN_QUERIES = (104, 494, 47, 137, 105)
+PIN_CAP = 2000
+PIN_CONFIGS = {
+    "all": dict(),
+    "P1+P2": dict(prune_unpromising=False),
+    "P1": dict(prune_unnecessary=False, prune_unpromising=False, max_states=PIN_CAP),
+    "none": dict(prune_duplicate=False, prune_unnecessary=False,
+                 prune_unpromising=False, max_states=PIN_CAP),
+}
+# config -> per query: (states, pruned_duplicate, pruned_unpromising,
+# delta, capped, community)
+PINNED = {
+    "all": [
+        (13160, 8147, 177, 0.2810365584666582, False,
+         {27, 44, 104, 113, 379, 390, 409, 558, 607}),
+        (10968, 7994, 3, 0.24284617767731972, False,
+         {42, 44, 113, 185, 407, 409, 443, 449, 494, 558, 564}),
+        (2984, 1460, 14, 0.19116372906065518, False,
+         {29, 38, 47, 79, 166, 305, 460, 520}),
+        (4917, 3723, 3, 0.209526874883423, False,
+         {137, 295, 330, 439, 502, 516, 609}),
+        (6291, 4878, 0, 0.22948930962182323, False,
+         {4, 99, 105, 125, 381, 514, 590}),
+    ],
+    "P1+P2": [
+        (13631, 8352, 0, 0.2810365584666582, False,
+         {27, 44, 104, 113, 379, 390, 409, 558, 607}),
+        (10976, 7994, 0, 0.24284617767731972, False,
+         {42, 44, 113, 185, 407, 409, 443, 449, 494, 558, 564}),
+        (3014, 1463, 0, 0.19116372906065518, False,
+         {29, 38, 47, 79, 166, 305, 460, 520}),
+        (4923, 3723, 0, 0.209526874883423, False,
+         {137, 295, 330, 439, 502, 516, 609}),
+        (6291, 4878, 0, 0.22948930962182323, False,
+         {4, 99, 105, 125, 381, 514, 590}),
+    ],
+    "P1": [
+        (2000, 510, 0, 0.2810365584666582, True,
+         {27, 44, 104, 113, 379, 390, 409, 558, 607}),
+        (2000, 484, 0, 0.24284617767731972, True,
+         {42, 44, 113, 185, 407, 409, 443, 449, 494, 558, 564}),
+        (2000, 557, 0, 0.19116372906065518, True,
+         {29, 38, 47, 79, 166, 305, 460, 520}),
+        (2000, 676, 0, 0.209526874883423, True,
+         {137, 295, 330, 439, 502, 516, 609}),
+        (2000, 640, 0, 0.22948930962182323, True,
+         {4, 99, 105, 125, 381, 514, 590}),
+    ],
+    "none": [
+        (2000, 0, 0, 0.2810365584666582, True,
+         {27, 44, 104, 113, 379, 390, 409, 558, 607}),
+        (2000, 0, 0, 0.24284617767731972, True,
+         {42, 44, 113, 185, 407, 409, 443, 449, 494, 558, 564}),
+        (2000, 0, 0, 0.19116372906065518, True,
+         {29, 38, 47, 79, 166, 305, 460, 520}),
+        (2000, 0, 0, 0.209526874883423, True,
+         {137, 295, 330, 439, 502, 516, 609}),
+        (2000, 0, 0, 0.22948930962182323, True,
+         {4, 99, 105, 125, 381, 514, 590}),
+    ],
+}
+
+
+@pytest.mark.parametrize("config", list(PIN_CONFIGS))
+def test_pinned_counters_on_facebook(config):
+    prep = prepare("facebook")
+    assert tuple(pick_queries(prep, 4, 5, 3)) == PIN_QUERIES
+    got = []
+    for q in PIN_QUERIES:
+        r = exact_cs(prep.graph, q, 4, gamma=prep.gamma, stats=prep.stats,
+                     **PIN_CONFIGS[config])
+        got.append((r.states, r.pruned_duplicate, r.pruned_unpromising,
+                    r.delta, r.capped, r.community))
+    want = [
+        (s, d, u, pytest.approx(delta, rel=1e-12), c, comm)
+        for s, d, u, delta, c, comm in PINNED[config]
+    ]
+    assert got == want

@@ -1,16 +1,9 @@
-"""Tests for meta-path projection (Spark + local + generator oracle)."""
-import pandas as pd
+"""Tests for meta-path projection (local, against the generator's planted graph)."""
 import pytest
 
-from repro.graphs import AttributedGraph, LocalGraph, maximal_connected_kcore
+from repro.graphs import LocalGraph, maximal_connected_kcore
 from repro.graphs.generator import planted_heterogeneous, planted_homogeneous
-from repro.hetero import (
-    metapath_pairs,
-    metapath_pairs_local,
-    metapath_project,
-    metapath_project_local,
-)
-from repro.oracle import assert_equivalent
+from repro.hetero import metapath_pairs_local, metapath_project_local
 
 
 @pytest.fixture(scope="module")
@@ -19,13 +12,6 @@ def hetero():
         n_comms=3, comm_size=12, p_in=0.5, m_out=12, seed=21,
         target_type="A", bridge_type="P", flavour_types=("V",),
     )
-
-
-@pytest.fixture(scope="module")
-def hetero_spark(spark, hetero):
-    g = AttributedGraph.from_local(spark, hetero.graph).cache()
-    g.num_nodes()
-    return g
 
 
 class TestLocalProjection:
@@ -70,53 +56,6 @@ class TestLocalProjection:
         if not core:
             pytest.skip("q not in 3-core of projection")
         assert len(core & gt) / len(core) > 0.6
-
-
-class TestSparkProjection:
-    def test_matches_local(self, hetero, hetero_spark):
-        got = {
-            (r.src, r.dst)
-            for r in metapath_pairs(hetero_spark, ("A", "P", "A")).collect()
-        }
-        assert got == metapath_pairs_local(hetero.graph, ("A", "P", "A"))
-
-    def test_duckdb_oracle(self, hetero, hetero_spark):
-        """A-P-A pairs via a two-hop SQL join oracle."""
-        nt = hetero.graph.ntypes
-        edges = pd.DataFrame(
-            [
-                (v, u)
-                for v in hetero.graph.adj
-                for u in hetero.graph.adj[v]
-            ],
-            columns=["src", "dst"],
-        )
-        nodes = pd.DataFrame(
-            [(v, t) for v, t in nt.items()], columns=["id", "ntype"]
-        )
-        got = metapath_pairs(hetero_spark, ("A", "P", "A"))
-        assert_equivalent(
-            got,
-            """
-            SELECT DISTINCT
-                   LEAST(e1.src, e2.dst) AS src,
-                   GREATEST(e1.src, e2.dst) AS dst
-            FROM edges e1
-            JOIN nodes a1 ON a1.id = e1.src AND a1.ntype = 'A'
-            JOIN nodes p  ON p.id  = e1.dst AND p.ntype  = 'P'
-            JOIN edges e2 ON e2.src = e1.dst
-            JOIN nodes a2 ON a2.id = e2.dst AND a2.ntype = 'A'
-            WHERE e1.src <> e2.dst
-            """,
-            edges=edges,
-            nodes=nodes,
-        )
-
-    def test_project_nodes_are_targets(self, hetero, hetero_spark):
-        proj = metapath_project(hetero_spark, ("A", "P", "A"))
-        got = {r.id for r in proj.nodes.select("id").collect()}
-        want = {v for v, t in hetero.graph.ntypes.items() if t == "A"}
-        assert got == want
 
 
 class TestSEAOnProjection:
