@@ -8,25 +8,23 @@ import pytest
 
 from repro.baselines import locatc_search, vac_search
 from repro.core import SEAParams, exact_cs, sea_search
-from repro.experiments import fvals_for, pick_queries, prepare
+from repro.experiments import pick_queries, prepare
 
 
 @pytest.fixture(scope="module")
 def fb_ctx():
     prep = prepare("facebook")
-    q = pick_queries(prep, 5, 1, 3)[0]
-    fv = fvals_for(prep, q)
-    return prep, q, fv
+    return prep, pick_queries(prep, 5, 1, 3)[0]
 
 
 @pytest.mark.benchmark(group="per-query")
 def test_sea_single_query(benchmark, fb_ctx):
-    prep, q, fv = fb_ctx
+    prep, q = fb_ctx
     r = benchmark(
         lambda: sea_search(
             prep.graph, q,
             SEAParams(k=5, gamma=prep.gamma, e=0.1, seed=q),
-            fvals=fv, stats=prep.stats,
+            stats=prep.stats,
         )
     )
     assert r.community
@@ -34,7 +32,7 @@ def test_sea_single_query(benchmark, fb_ctx):
 
 @pytest.mark.benchmark(group="per-query")
 def test_exact_single_query(benchmark, fb_ctx):
-    prep, q, fv = fb_ctx
+    prep, q = fb_ctx
     r = benchmark.pedantic(
         lambda: exact_cs(prep.graph, q, 5, gamma=prep.gamma, stats=prep.stats),
         rounds=1, iterations=1,
@@ -44,14 +42,14 @@ def test_exact_single_query(benchmark, fb_ctx):
 
 @pytest.mark.benchmark(group="per-query")
 def test_locatc_single_query(benchmark, fb_ctx):
-    prep, q, _ = fb_ctx
+    prep, q = fb_ctx
     r = benchmark(lambda: locatc_search(prep.graph, q, 5))
     assert r.community
 
 
 @pytest.mark.benchmark(group="per-query")
 def test_vac_single_query(benchmark, fb_ctx):
-    prep, q, _ = fb_ctx
+    prep, q = fb_ctx
     r = benchmark.pedantic(
         lambda: vac_search(prep.graph, q, 5, gamma=prep.gamma, stats=prep.stats),
         rounds=2, iterations=1,

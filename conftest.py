@@ -44,6 +44,7 @@ os.environ.setdefault(
     f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
     f"--conf spark.driver.host=127.0.0.1 "
     f"--conf spark.ui.enabled=false "
+    f"--conf spark.ui.showConsoleProgress=false "
     "pyspark-shell",
 )
 

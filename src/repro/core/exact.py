@@ -35,7 +35,6 @@ from repro.metrics.distance import (
     NormStats,
     composite_distances_local,
     delta,
-    norm_stats_local,
 )
 
 from .validate import check_query
@@ -99,8 +98,6 @@ def exact_cs(
     if not root:
         return ExactResult(None, INF, 0, 0, 0, time.perf_counter() - t0, False)
     if fvals is None:
-        if stats is None:
-            stats = norm_stats_local(g)
         fvals = composite_distances_local(g, q, gamma, stats, nodes=root)
 
     best_delta, best_comm = delta(fvals, root, q), set(root)
@@ -182,8 +179,6 @@ def brute_force_cs(
         check = lambda s: maximal_connected_ktruss(g, q, k, within=set(s)) == set(s)
     if not root:
         return None, INF
-    if stats is None:
-        stats = norm_stats_local(g)
     fvals = composite_distances_local(g, q, gamma, stats, nodes=root)
     others = sorted(root - {q})
     best_c, best_d = None, INF

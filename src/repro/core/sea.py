@@ -40,7 +40,6 @@ from repro.metrics.distance import (
     DEFAULT_GAMMA,
     NormStats,
     composite_distances_local,
-    norm_stats_local,
 )
 
 from .estimation import (
@@ -178,8 +177,6 @@ def sea_search(
     check_query(q in g.adj, q, params.k, params.gamma, params.e)
     t0 = time.perf_counter()
     if fvals is None:
-        if stats is None:
-            stats = norm_stats_local(g)
         fvals = composite_distances_local(g, q, params.gamma, stats)
     n = g.num_nodes
     size_lb = params.size_bound[0] if params.size_bound else None

@@ -46,6 +46,8 @@ def prepare(name: str) -> PreparedDataset:
         graph = gen.graph
     some_member = next(iter(gen.communities))
     gamma = 0.5 if gen.graph.tattrs[some_member] else 0.0
+    # the whole-graph stats, read without building the attribute table:
+    # the first query builds it, so preparation stays as cheap as before
     stats = norm_stats_local(graph, nodes=list(graph.adj))
     return PreparedDataset(name, gen, graph, stats, gamma)
 
@@ -104,7 +106,7 @@ def run_method(
             # per-query stream: deterministic, but a bad draw on one
             # query does not repeat on every other
             SEAParams(k=k, gamma=gamma, model=model, e=e, seed=seed + q),
-            fvals=fvals, stats=stats,
+            stats=stats,
         )
         return MethodRun(r.community, r.delta_star if r.community else None, r.elapsed_s)
     if method == "exact":
@@ -147,6 +149,4 @@ def relative_error(approx: Optional[float], exact: Optional[float]) -> Optional[
 
 def fvals_for(prep: PreparedDataset, q: int) -> Dict[int, float]:
     """Composite distances of every query-graph node to q."""
-    return composite_distances_local(
-        prep.graph, q, prep.gamma, prep.stats, nodes=list(prep.graph.adj)
-    )
+    return composite_distances_local(prep.graph, q, prep.gamma, prep.stats)

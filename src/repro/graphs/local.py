@@ -27,12 +27,20 @@ class LocalGraph:
     ``nattrs`` maps node id -> numpy vector of numerical attributes (all
     nodes share the same dimensionality; may be length 0).
     ``ntypes`` optionally maps node id -> node type (heterogeneous graphs).
+
+    Attributes are read-only once the graph is built: the first distance
+    evaluation caches a columnar copy of them (:meth:`attr_table`) on the
+    instance, and later edits to ``tattrs``/``nattrs`` would not reach it.
+    The cache is not part of the graph's equality or repr.
     """
 
     adj: Dict[int, Set[int]]
     tattrs: Dict[int, FrozenSet[str]] = field(default_factory=dict)
     nattrs: Dict[int, np.ndarray] = field(default_factory=dict)
     ntypes: Optional[Dict[int, str]] = None
+    _table: Optional["AttrTable"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def num_nodes(self) -> int:
@@ -47,6 +55,12 @@ class LocalGraph:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
+
+    def attr_table(self) -> "AttrTable":
+        """The columnar attribute table over this graph's nodes (cached)."""
+        if self._table is None:
+            self._table = AttrTable.build(self)
+        return self._table
 
     def subgraph(self, keep: Iterable[int]) -> "LocalGraph":
         """Node-induced subgraph (attribute dicts are shared, not copied)."""
@@ -74,6 +88,57 @@ class LocalGraph:
         t = {int(v): frozenset(a) for v, a in (tattrs or {}).items()}
         n = {int(v): np.asarray(a, dtype=float) for v, a in (nattrs or {}).items()}
         return LocalGraph(adj, t, n, dict(ntypes) if ntypes else None)
+
+
+@dataclass(frozen=True, eq=False)
+class AttrTable:
+    """Columnar copy of a :class:`LocalGraph`'s attributes, one row per node.
+
+    ``ids`` is the node order (that of ``adj``) and ``row`` maps a node id
+    to its row.  ``nattrs`` holds the raw numerical attributes as one
+    ``(n, d)`` matrix, and ``mins``/``maxs`` their per-dimension min/max
+    over every row.  The textual attributes are a token-id incidence list:
+    row ``tok_row[i]`` has token ``tok_id[i]`` (ids in ``range(vocab_size)``),
+    and row r has ``tok_count[r]`` tokens.
+    """
+
+    ids: List[int]
+    row: Dict[int, int]
+    nattrs: np.ndarray
+    mins: np.ndarray
+    maxs: np.ndarray
+    tok_row: np.ndarray
+    tok_id: np.ndarray
+    tok_count: np.ndarray
+    vocab_size: int
+
+    @staticmethod
+    def build(g: LocalGraph) -> "AttrTable":
+        ids = list(g.adj)
+        row = {v: i for i, v in enumerate(ids)}
+        vecs = [g.nattrs.get(v, ()) for v in ids]
+        d = max((len(x) for x in vecs), default=0)
+        for v, x in zip(ids, vecs):
+            if len(x) != d:
+                raise ValueError(
+                    f"node {v} has {len(x)} numerical attributes, expected {d}"
+                )
+        nattrs = np.array(vecs, dtype=float).reshape(len(ids), d)
+        if len(ids):
+            mins, maxs = nattrs.min(axis=0), nattrs.max(axis=0)
+        else:
+            mins = maxs = np.zeros(d)
+        vocab: Dict[str, int] = {}
+        tok_id = [vocab.setdefault(t, len(vocab))
+                  for v in ids for t in g.tattrs.get(v, ())]
+        tok_count = np.array([len(g.tattrs.get(v, ())) for v in ids], dtype=np.int64)
+        return AttrTable(
+            ids, row, nattrs, mins, maxs,
+            tok_row=np.repeat(np.arange(len(ids), dtype=np.int32), tok_count),
+            tok_id=np.array(tok_id, dtype=np.int32),
+            tok_count=tok_count,
+            vocab_size=len(vocab),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,14 @@ import numpy as np
 
 from repro.graphs.local import LocalGraph
 
-from .distance import DEFAULT_GAMMA, NormStats, delta, norm_stats_local, pair_distance
+from .distance import (
+    DEFAULT_GAMMA,
+    NormStats,
+    composite_distances_local,
+    delta,
+    norm_stats_local,
+    pair_distance,
+)
 
 
 def delta_metric(
@@ -33,10 +40,12 @@ def delta_metric(
     stats: Optional[NormStats] = None,
     fvals: Optional[Dict[int, float]] = None,
 ) -> float:
-    """δ(H) — the paper's metric (Definition 4)."""
-    if fvals is None:
-        from .distance import composite_distances_local
+    """δ(H) — the paper's metric (Definition 4).
 
+    ``stats`` defaults to the min/max over every node of ``g``, the
+    population SEA and Exact normalise over, so δ(H) agrees with theirs.
+    """
+    if fvals is None:
         fvals = composite_distances_local(g, q, gamma, stats, nodes=community)
     return delta(fvals, community, q)
 

@@ -4,6 +4,8 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core import exact_cs
+from repro.experiments import prepare
 from repro.graphs import AttributedGraph, LocalGraph
 from repro.metrics import (
     NormStats,
@@ -12,6 +14,7 @@ from repro.metrics import (
     composite_distances,
     composite_distances_local,
     delta,
+    delta_metric,
     f1_score,
     jaccard_distance,
     norm_stats_local,
@@ -177,6 +180,126 @@ class TestCompositeDistances:
             FROM z JOIN qz USING (pos) GROUP BY z.id
             """,
             nv=nv,
+        )
+
+
+def scalar_f(g, q, gamma, stats, nodes):
+    """f(v,q) straight from the definition, one node at a time."""
+    qt = g.tattrs.get(q, frozenset())
+    out = {}
+    for v in nodes:
+        ft = jaccard_distance(g.tattrs.get(v, frozenset()), qt)
+        if stats.ndim:
+            zv, zq = stats.normalize(g.nattrs[v]), stats.normalize(g.nattrs[q])
+            fn = float(np.abs(zv - zq).mean())
+        else:
+            fn = 0.0
+        out[v] = gamma * ft + (1 - gamma) * fn
+    return out
+
+
+def assert_matches_scalar(g, q, gamma, nodes=None):
+    """The kernel with default stats against the scalar definition over
+    explicitly listed whole-graph stats."""
+    stats = norm_stats_local(g, nodes=list(g.adj))
+    got = composite_distances_local(g, q, gamma, nodes=nodes)
+    want = scalar_f(g, q, gamma, stats, list(g.adj) if nodes is None else nodes)
+    assert list(got) == list(want)
+    for v in want:
+        assert got[v] == pytest.approx(want[v], abs=1e-12), v
+
+
+class TestKernelOracle:
+    """The vectorised local kernel against the scalar definition."""
+
+    @pytest.fixture()
+    def edge_cases(self):
+        # 0, 1: no tokens; 4: a token no other node has; dim 1 is constant
+        return LocalGraph.from_edges(
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
+            tattrs={0: [], 1: [], 2: ["a"], 3: ["a", "b"], 4: ["z"]},
+            nattrs={v: [v * 0.7, 5.0] for v in range(5)},
+        )
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_gamma(self, tiny, gamma):
+        for q in sorted(tiny.graph.adj)[:4]:
+            assert_matches_scalar(tiny.graph, q, gamma)
+
+    def test_nodes_subset(self, tiny):
+        sub = sorted(tiny.graph.adj)[10:30:3]
+        q = sorted(tiny.graph.adj)[12]
+        assert_matches_scalar(tiny.graph, q, 0.5, nodes=sub)
+        assert set(composite_distances_local(tiny.graph, q, nodes=sub)) == set(sub)
+
+    @pytest.mark.parametrize("q", [0, 2, 4])
+    def test_empty_tokens_unique_tokens_constant_dim(self, edge_cases, q):
+        # q=0: empty vs empty (ft=0) and empty vs non-empty (ft=1);
+        # q=2: non-empty vs empty; q=4: tokens shared with no other node
+        for gamma in (0.0, 0.5, 1.0):
+            assert_matches_scalar(edge_cases, q, gamma)
+        f = composite_distances_local(edge_cases, 0, 1.0)
+        assert f[1] == 0.0 and f[2] == 1.0
+        f = composite_distances_local(edge_cases, 4, 1.0)
+        assert all(f[v] == 1.0 for v in range(4))
+
+    def test_no_numerical_dims(self):
+        g = LocalGraph.from_edges(
+            [(0, 1), (1, 2)], tattrs={0: ["a"], 1: ["a", "b"], 2: []},
+        )
+        assert norm_stats_local(g).ndim == 0
+        for gamma in (0.0, 0.5, 1.0):
+            assert_matches_scalar(g, 0, gamma)
+
+    def test_metapath_projection(self):
+        prep = prepare("dblp")
+        for q in sorted(prep.graph.adj)[:3]:
+            assert_matches_scalar(prep.graph, q, prep.gamma)
+
+
+class TestAttrTableCache:
+    def test_reused(self, tiny):
+        g = tiny.graph
+        composite_distances_local(g, 0)
+        table = g.attr_table()
+        composite_distances_local(g, 1)
+        assert g.attr_table() is table
+
+    def test_subgraph_has_its_own_rows(self, tiny):
+        g = tiny.graph
+        composite_distances_local(g, 0)  # the parent's table exists first
+        keep = set(sorted(g.adj)[:15])
+        sub = g.subgraph(keep)
+        assert set(composite_distances_local(sub, min(keep))) == keep
+        assert sub.attr_table() is not g.attr_table()
+
+    def test_not_in_equality_or_repr(self):
+        def build():
+            return LocalGraph.from_edges(
+                [(0, 1)], tattrs={0: ["a"]}, nattrs={0: [1.0], 1: [2.0]}
+            )
+
+        a, b = build(), build()
+        before = repr(a)
+        a.attr_table()
+        assert a == b
+        assert repr(a) == before == repr(b)
+
+    def test_ragged_numerical_attributes_fail(self):
+        g = LocalGraph.from_edges([(0, 1)], nattrs={0: [1.0, 2.0], 1: [3.0]})
+        with pytest.raises(ValueError, match="numerical attributes"):
+            composite_distances_local(g, 0)
+
+
+def test_delta_metric_matches_exact_on_facebook():
+    """Default stats are the whole graph's, so δ(H) scored with no stats
+    agrees with the δ that Exact reports for its own H."""
+    prep = prepare("facebook")
+    for q in (104, 47):
+        r = exact_cs(prep.graph, q, 4, gamma=prep.gamma)
+        assert r.community
+        assert delta_metric(prep.graph, r.community, q, prep.gamma) == pytest.approx(
+            r.delta, abs=1e-12
         )
 
 
