@@ -25,7 +25,7 @@ def acq_search(
     g: LocalGraph, q: int, k: int, model: str = "core"
 ) -> Optional[Set[int]]:
     """Largest-shared-attribute-set connected k-core containing q."""
-    initial, _, _ = model_ops(model)
+    initial, _ = model_ops(model)
     qt = sorted(g.tattrs.get(q, frozenset()))
     if not qt:
         return None  # nothing to equality-match on

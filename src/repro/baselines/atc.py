@@ -25,7 +25,7 @@ def locatc_search(
     g: LocalGraph, q: int, k: int, model: str = "core"
 ) -> Optional[Set[int]]:
     """Greedy coverage-maximising connected k-core containing q."""
-    initial, maintain, _ = model_ops(model)
+    initial, maintain = model_ops(model)
     comm = initial(g, q, k)
     if not comm:
         return None

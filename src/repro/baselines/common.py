@@ -28,12 +28,12 @@ class BaselineResult:
     capped: bool = False
 
 
-def model_ops(model: str) -> Tuple[Callable, Callable, int]:
-    """(initial-community fn, delete-maintenance fn, min size) per model."""
+def model_ops(model: str) -> Tuple[Callable, Callable]:
+    """(initial-community fn, delete-maintenance fn) per model."""
     if model == "core":
-        return maximal_connected_kcore, delete_with_kcore_maintenance, 2
+        return maximal_connected_kcore, delete_with_kcore_maintenance
     if model == "truss":
-        return maximal_connected_ktruss, delete_with_ktruss_maintenance, 2
+        return maximal_connected_ktruss, delete_with_ktruss_maintenance
     raise ValueError(f"unknown model {model!r}")
 
 

@@ -16,24 +16,13 @@ q-centric δ). Two variants, both for k-core and k-truss substrates:
 """
 from __future__ import annotations
 
-from itertools import combinations
 from typing import FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.graphs.local import LocalGraph
-from repro.metrics.distance import DEFAULT_GAMMA, NormStats, norm_stats_local, pair_distance
+from repro.metrics.cohesiveness import worst_pair
+from repro.metrics.distance import DEFAULT_GAMMA, NormStats
 
 from .common import model_ops, timed
-
-
-def _worst_pair(
-    g: LocalGraph, comm: Set[int], gamma: float, stats: NormStats
-) -> Tuple[float, int, int]:
-    m, wu, wv = -1.0, -1, -1
-    for u, v in combinations(sorted(comm), 2):
-        d = pair_distance(g, u, v, gamma, stats)
-        if d > m:
-            m, wu, wv = d, u, v
-    return m, wu, wv
 
 
 @timed
@@ -46,20 +35,18 @@ def vac_search(
     model: str = "core",
 ) -> Optional[Set[int]]:
     """Approximate VAC: peel endpoints of the worst pair while possible."""
-    initial, maintain, _ = model_ops(model)
+    initial, maintain = model_ops(model)
     comm = initial(g, q, k)
     if not comm:
         return None
-    if stats is None:
-        stats = norm_stats_local(g)
     while len(comm) > k + 1:
-        m, u, v = _worst_pair(g, comm, gamma, stats)
+        m, u, v = worst_pair(g, comm, gamma, stats)
         improved = False
         for x in (u, v):
             if x == q:
                 continue
             cand, _ = maintain(g, comm, q, k, x)
-            if cand and _worst_pair(g, cand, gamma, stats)[0] < m:
+            if cand and worst_pair(g, cand, gamma, stats)[0] < m:
                 comm = cand
                 improved = True
                 break
@@ -79,12 +66,10 @@ def evac_search(
     max_states: int = 50_000,
 ) -> Tuple[Optional[Set[int]], int, bool]:
     """Exact VAC: enumerate deletion-closed states, minimise min-max."""
-    initial, maintain, _ = model_ops(model)
+    initial, maintain = model_ops(model)
     root = initial(g, q, k)
     if not root:
         return None, 0, False
-    if stats is None:
-        stats = norm_stats_local(g)
 
     best_obj, best_comm = float("inf"), set(root)
     seen: Set[FrozenSet[int]] = {frozenset(root)}
@@ -96,7 +81,7 @@ def evac_search(
 
     def push(state: Set[int]) -> None:
         nonlocal best_obj, best_comm
-        obj, u, v = _worst_pair(g, state, gamma, stats)
+        obj, u, v = worst_pair(g, state, gamma, stats)
         if obj < best_obj:
             best_obj, best_comm = obj, set(state)
         # only deleting an endpoint of the worst pair can reduce the

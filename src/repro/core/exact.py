@@ -69,7 +69,6 @@ def exact_cs(
     k: int,
     gamma: float = DEFAULT_GAMMA,
     stats: Optional[NormStats] = None,
-    fvals: Optional[Dict[int, float]] = None,
     model: str = "core",
     prune_duplicate: bool = True,
     prune_unnecessary: bool = True,
@@ -78,10 +77,10 @@ def exact_cs(
 ) -> ExactResult:
     """Algorithm 1 over the maximal connected k-core (or k-truss) of q.
 
-    ``fvals`` may be precomputed; otherwise it is computed over the root.
-    With every pruning disabled this is the raw exponential enumeration —
-    cap it with ``max_states`` (the result is then best-so-far with
-    ``capped=True``).
+    f(·,q) is computed over the root only; ``stats`` defaults to the
+    min/max over every node of ``g``. With every pruning disabled this is
+    the raw exponential enumeration — cap it with ``max_states`` (the
+    result is then best-so-far with ``capped=True``).
     """
     check_query(q in g.adj, q, k, gamma)
     t0 = time.perf_counter()
@@ -97,8 +96,7 @@ def exact_cs(
         raise ValueError(f"unknown model {model!r}")
     if not root:
         return ExactResult(None, INF, 0, 0, 0, time.perf_counter() - t0, False)
-    if fvals is None:
-        fvals = composite_distances_local(g, q, gamma, stats, nodes=root)
+    fvals = composite_distances_local(g, q, gamma, stats, nodes=root)
 
     best_delta, best_comm = delta(fvals, root, q), set(root)
     states = dup = unpromising = 0
@@ -152,7 +150,7 @@ def exact_cs(
         pruned_unpromising=unpromising,
         elapsed_s=time.perf_counter() - t0,
         capped=capped,
-        fvals=dict(fvals),
+        fvals=fvals,
     )
 
 

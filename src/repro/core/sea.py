@@ -51,7 +51,7 @@ from .estimation import (
     moe_threshold,
 )
 from .hoeffding import min_neighborhood_size
-from .validate import check_query
+from .validate import check_query, check_sea_params
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,6 @@ class SEAResult:
     sampling_s: float  # S1 time (G_q + sampling + core finding)
     estimation_s: float  # S2 time (greedy + BLB)
     incremental_s: float  # S3 time (Eq. 12 resampling)
-    fvals: Dict[int, float] = field(default_factory=dict, repr=False)
 
 
 def _best_first_neighborhood(
@@ -170,14 +169,17 @@ def sea_search(
     g: LocalGraph,
     q: int,
     params: SEAParams,
-    fvals: Optional[Dict[int, float]] = None,
     stats: Optional[NormStats] = None,
 ) -> SEAResult:
-    """All-local SEA search (Problem 2, Approx-CS-AG)."""
+    """All-local SEA search (Problem 2, Approx-CS-AG).
+
+    f(·,q) is computed here, inside the timed search; ``stats`` defaults
+    to the min/max over every node of ``g``.
+    """
+    check_sea_params(params)
     check_query(q in g.adj, q, params.k, params.gamma, params.e)
     t0 = time.perf_counter()
-    if fvals is None:
-        fvals = composite_distances_local(g, q, params.gamma, stats)
+    fvals = composite_distances_local(g, q, params.gamma, stats)
     n = g.num_nodes
     size_lb = params.size_bound[0] if params.size_bound else None
     min_gq = min_neighborhood_size(
@@ -316,7 +318,6 @@ def _sample_estimate_loop(
         sampling_s=t_s1,
         estimation_s=t_s2,
         incremental_s=t_s3,
-        fvals=dict(fvals),
     )
 
 
@@ -336,6 +337,7 @@ def sea_search_spark(graph, q: int, params: SEAParams) -> SEAResult:
     from repro.spark_core.bfs import prioritized_neighborhood
     from repro.spark_core.degrees import symmetrize
 
+    check_sea_params(params)
     has_q = graph.nodes.where(F.col("id") == q).limit(1).count() > 0
     check_query(has_q, q, params.k, params.gamma, params.e)
     t0 = time.perf_counter()

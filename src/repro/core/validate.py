@@ -20,3 +20,15 @@ def check_query(
         raise ValueError(f"error bound e must be positive, got {e}")
     if not 0 <= gamma <= 1:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+
+
+def check_sea_params(params) -> None:
+    """Raise ``ValueError`` for SEA parameters no search can honour: an
+    unknown community model, or a size bound ``(l, h)`` without
+    ``1 <= l <= h``."""
+    if params.model not in ("core", "truss"):
+        raise ValueError(f"unknown model {params.model!r}")
+    if params.size_bound is not None:
+        lo, hi = params.size_bound
+        if not 1 <= lo <= hi:
+            raise ValueError(f"size bound (l, h) needs 1 <= l <= h, got {params.size_bound}")

@@ -7,12 +7,16 @@ supports the requested k (following [22]'s random-query protocol but
 restricted to feasible queries); heterogeneous queries are target-typed
 nodes of the meta-path projection (following [7], with each dataset's
 canonical meta-path standing in for the top-frequency ones).
+
+Every method computes f(·,q) itself: SEA and Exact inside their timed
+call, and a baseline's δ(H) through :func:`repro.metrics.delta_metric`
+after its timed call. No harness passes precomputed distances in.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 import numpy as np
 
@@ -22,7 +26,7 @@ from repro.graphs.datasets import load
 from repro.graphs.generator import GeneratedGraph
 from repro.graphs.local import LocalGraph, core_decomposition
 from repro.hetero import metapath_project_local
-from repro.metrics import NormStats, composite_distances_local, delta, norm_stats_local
+from repro.metrics import NormStats, delta_metric, norm_stats_local
 
 
 @dataclass
@@ -75,19 +79,11 @@ class MethodRun:
     elapsed_s: float
 
 
-def _delta_of(prep: PreparedDataset, q: int, comm: Optional[Set[int]],
-              fvals: Dict[int, float]) -> Optional[float]:
-    if not comm:
-        return None
-    return delta(fvals, comm, q)
-
-
 def run_method(
     method: str,
     prep: PreparedDataset,
     q: int,
     k: int,
-    fvals: Dict[int, float],
     model: str = "core",
     e: float = 0.10,
     seed: int = 0,
@@ -97,7 +93,9 @@ def run_method(
 
     Methods: ``sea``, ``exact``, ``acq``, ``locatc``, ``vac``, ``evac``
     — each honouring ``model`` ∈ {core, truss} where the paper evaluates
-    that variant.
+    that variant. SEA and Exact report their own δ, f(·,q) included in
+    their time; a baseline's community is scored with ``delta_metric``
+    outside its time.
     """
     g, stats, gamma = prep.graph, prep.stats, prep.gamma
     if method == "sea":
@@ -111,7 +109,7 @@ def run_method(
         return MethodRun(r.community, r.delta_star if r.community else None, r.elapsed_s)
     if method == "exact":
         r = exact_cs(
-            g, q, k, gamma=gamma, stats=stats, fvals=None, model=model,
+            g, q, k, gamma=gamma, stats=stats, model=model,
             max_states=exact_max_states,
         )
         return MethodRun(r.community, r.delta if r.community else None, r.elapsed_s)
@@ -125,11 +123,12 @@ def run_method(
         r = evac_search(g, q, k, gamma=gamma, stats=stats, model=model)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return MethodRun(r.community, _delta_of(prep, q, r.community, fvals), r.elapsed_s)
+    d = delta_metric(g, r.community, q, gamma, stats) if r.community else None
+    return MethodRun(r.community, d, r.elapsed_s)
 
 
 def exact_ground_truth(
-    prep: PreparedDataset, q: int, k: int, fvals: Dict[int, float],
+    prep: PreparedDataset, q: int, k: int,
     model: str = "core", max_states: int = 2_000_000,
 ) -> Optional[float]:
     """δ of the exact community — the relative-error reference."""
@@ -145,8 +144,3 @@ def relative_error(approx: Optional[float], exact: Optional[float]) -> Optional[
     if approx is None or exact is None or exact == 0:
         return None
     return abs(approx - exact) / exact
-
-
-def fvals_for(prep: PreparedDataset, q: int) -> Dict[int, float]:
-    """Composite distances of every query-graph node to q."""
-    return composite_distances_local(prep.graph, q, prep.gamma, prep.stats)

@@ -17,18 +17,11 @@ import numpy as np
 from repro.core import SEAParams, exact_cs, sea_search
 from repro.graphs.datasets import HA_GT_DATASETS, TABLE1_DATASETS, load
 from repro.graphs.local import core_decomposition
-from repro.metrics import (
-    acq_shared,
-    atc_coverage,
-    delta,
-    f1_score,
-    vac_minmax,
-)
+from repro.metrics import acq_shared, atc_coverage, f1_score, vac_minmax
 
 from .harness import (
     PreparedDataset,
     exact_ground_truth,
-    fvals_for,
     pick_queries,
     prepare,
     relative_error,
@@ -144,17 +137,16 @@ def table2(k: int = 5, n_queries: int = 5, e: float = 0.10, seed: int = 0) -> Tu
     # the same workload across methods
     per_q: Dict[int, Dict[str, Dict[str, float]]] = {}
     for q in queries:
-        fv = fvals_for(prep, q)
         scores: Dict[str, Dict[str, float]] = {}
         for label, method in TABLE2_METHODS:
-            r = run_method(method, prep, q, k, fv, e=e, seed=seed)
+            r = run_method(method, prep, q, k, e=e, seed=seed)
             if not r.community:
                 break
             scores[label] = {
                 "minmax": vac_minmax(prep.graph, r.community, prep.gamma, prep.stats),
                 "atc": atc_coverage(prep.graph, r.community, q),
                 "shared": acq_shared(prep.graph, r.community, q),
-                "delta": delta(fv, r.community, q),
+                "delta": r.delta,
             }
         else:
             per_q[q] = scores
@@ -241,8 +233,7 @@ def table3(k: int = 5, n_queries: int = 5, e: float = 0.10, seed: int = 0) -> Tu
             queries = pick_queries(prep, k, n_queries, seed)
             scores = []
             for q in queries:
-                fv = fvals_for(prep, q)
-                r = run_method(method, prep, q, k, fv, e=e, seed=seed)
+                r = run_method(method, prep, q, k, e=e, seed=seed)
                 gt = prep.gen.community_of(q)
                 scores.append(f1_score(r.community or set(), gt))
             row[name] = float(np.mean(scores)) if scores else None
@@ -322,31 +313,28 @@ def table5(k: int = 4, n_queries: int = 3, e: float = 0.10, seed: int = 0) -> Tu
     plans = [(lbl, m, "core") for lbl, m in TABLE5_CORE] + [
         (lbl, m, "truss") for lbl, m in TABLE5_TRUSS
     ]
-    per_ds: Dict[str, Dict[int, Dict[str, object]]] = {}
+    exact_delta: Dict[str, Dict[int, Dict[str, Optional[float]]]] = {}
     for name in TABLE5_DATASETS:
         prep = prepare(name)
         queries = pick_queries(prep, k, n_queries, seed)
-        per_ds[name] = {}
-        for q in queries:
-            fv = fvals_for(prep, q)
-            gt = {
-                model: exact_ground_truth(prep, q, k, fv, model=model)
+        exact_delta[name] = {
+            q: {
+                model: exact_ground_truth(prep, q, k, model=model)
                 for model in ("core", "truss")
             }
-            per_ds[name][q] = {"fv": fv, "gt": gt}
+            for q in queries
+        }
     for label, method, model in plans:
         row: Dict[str, object] = {"Method": label}
         for name in TABLE5_DATASETS:
             prep = prepare(name)
             times, errs = [], []
-            for q, ctx in per_ds[name].items():
-                r = run_method(
-                    method, prep, q, k, ctx["fv"], model=model, e=e, seed=seed
-                )
+            for q, gt in exact_delta[name].items():
+                r = run_method(method, prep, q, k, model=model, e=e, seed=seed)
                 if r.community is None:
                     continue
                 times.append(r.elapsed_s * 1e3)
-                err = relative_error(r.delta, ctx["gt"][model])
+                err = relative_error(r.delta, gt[model])
                 if err is not None:
                     errs.append(err * 100)
             row[f"{name} Time(ms)"] = float(np.mean(times)) if times else None
@@ -382,13 +370,12 @@ def table6(
     else:
         q = None
         for cand in pick_queries(prep, k, 8, seed):
-            fv_c = fvals_for(prep, cand)
             runs = [
                 sea_search(
                     prep.graph, cand,
                     SEAParams(k=k, gamma=prep.gamma, e=e, seed=seed,
                               size_bound=(lo, hi)),
-                    fvals=fv_c, stats=prep.stats,
+                    stats=prep.stats,
                 )
                 for lo, hi in bounds
             ]
@@ -399,8 +386,7 @@ def table6(
                 break
         if q is None:
             q = pick_queries(prep, k, 1, seed)[0]
-    fv = fvals_for(prep, q)
-    gt = exact_ground_truth(prep, q, k, fv)
+    gt = exact_ground_truth(prep, q, k)
     rows = []
     for lo, hi in bounds:
         r = sea_search(
@@ -408,7 +394,7 @@ def table6(
             SEAParams(
                 k=k, gamma=prep.gamma, e=e, seed=seed, size_bound=(lo, hi)
             ),
-            fvals=fv, stats=prep.stats,
+            stats=prep.stats,
         )
         for rd in r.rounds:
             err = relative_error(rd.delta_star, gt)

@@ -7,7 +7,6 @@ from .local import (
     core_decomposition,
     delete_with_kcore_maintenance,
     delete_with_ktruss_maintenance,
-    edge_supports,
     kcore_nodes,
     ktruss_edges,
     maximal_connected_kcore,
@@ -23,7 +22,6 @@ __all__ = [
     "core_decomposition",
     "delete_with_kcore_maintenance",
     "delete_with_ktruss_maintenance",
-    "edge_supports",
     "kcore_nodes",
     "ktruss_edges",
     "maximal_connected_kcore",

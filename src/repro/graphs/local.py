@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -189,7 +189,7 @@ def kcore_nodes(g: LocalGraph, k: int, within: Optional[Set[int]] = None) -> Set
     when given.
     """
     nodes = set(g.adj) if within is None else set(within)
-    deg = {v: sum(1 for u in g.adj[v] if u in nodes) for v in nodes}
+    deg = {v: len(g.adj[v] & nodes) for v in nodes}
     queue = deque(v for v, d in deg.items() if d < k)
     while queue:
         v = queue.popleft()
@@ -237,57 +237,39 @@ def maximal_connected_kcore(
     return connected_component(g, q, core)
 
 
+def _delete_and_restore(
+    community: Callable[..., Set[int]],
+    g: LocalGraph, state: Set[int], q: int, k: int, v: int,
+) -> Tuple[Set[int], List[int]]:
+    """Delete ``v`` from ``state`` and keep q's maximal connected community
+    (``community`` is :func:`maximal_connected_kcore` or
+    :func:`maximal_connected_ktruss`) of what remains.
+
+    States are small, so recomputation beats incremental bookkeeping here.
+    """
+    nodes = state - {v}
+    comp = community(g, q, k, within=nodes)
+    return comp, [v, *(nodes - comp)]
+
+
 def delete_with_kcore_maintenance(
     g: LocalGraph, state: Set[int], q: int, k: int, v: int
 ) -> Tuple[Set[int], List[int]]:
     """Delete ``v`` from a connected-k-core state and restore the invariant.
 
-    Cascade-removes nodes whose degree drops below ``k``, then restricts to
+    The new state is the maximal connected k-core of ``state − v`` that
+    contains q: the cascade of nodes whose degree drops below ``k``, then
     q's component. Returns ``(new_state, removed)`` where ``removed`` lists
     every node that left the state (v first; includes nodes cut off by the
     connectivity restriction, which the duplicate-pruning rule of §IV-B
     must also see). ``new_state`` is ∅ when q itself is removed.
     """
-    nodes = set(state)
-    nodes.discard(v)
-    removed = [v]
-    deg = {u: sum(1 for w in g.adj[u] if w in nodes) for u in nodes}
-    queue = deque(u for u in g.adj[v] if u in nodes and deg[u] < k)
-    while queue:
-        u = queue.popleft()
-        if u not in nodes:
-            continue
-        nodes.discard(u)
-        removed.append(u)
-        for w in g.adj[u]:
-            if w in nodes:
-                deg[w] -= 1
-                if deg[w] < k:
-                    queue.append(w)
-    if q not in nodes:
-        return set(), removed + []
-    comp = connected_component(g, q, nodes)
-    removed.extend(nodes - comp)
-    return comp, removed
+    return _delete_and_restore(maximal_connected_kcore, g, state, q, k, v)
 
 
 # ---------------------------------------------------------------------------
 # Triangles and k-truss
 # ---------------------------------------------------------------------------
-
-
-def edge_supports(
-    g: LocalGraph, within: Optional[Set[int]] = None
-) -> Dict[Tuple[int, int], int]:
-    """Support (number of triangles) of each edge, keyed (min, max)."""
-    nodes = set(g.adj) if within is None else within
-    sup: Dict[Tuple[int, int], int] = {}
-    for v in nodes:
-        for u in g.adj[v]:
-            if u in nodes and v < u:
-                common = g.adj[v] & g.adj[u] & nodes
-                sup[(v, u)] = len(common)
-    return sup
 
 
 def ktruss_edges(
@@ -325,37 +307,16 @@ def maximal_connected_ktruss(
     Peels edges to the maximal k-truss, then walks q's component over the
     surviving edges. Returns ∅ when q has no surviving edge.
     """
-    edges = ktruss_edges(g, k, within)
     adj: Dict[int, Set[int]] = {}
-    for v, u in edges:
+    for v, u in ktruss_edges(g, k, within):
         adj.setdefault(v, set()).add(u)
         adj.setdefault(u, set()).add(v)
-    if q not in adj:
-        return set()
-    seen = {q}
-    queue = deque([q])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen
+    return connected_component(LocalGraph(adj), q)
 
 
 def delete_with_ktruss_maintenance(
     g: LocalGraph, state: Set[int], q: int, k: int, v: int
 ) -> Tuple[Set[int], List[int]]:
-    """Truss twin of :func:`delete_with_kcore_maintenance`.
-
-    Recomputes the connected k-truss of ``state − v`` (states are small, so
-    recomputation beats incremental bookkeeping here) and reports every node
-    that left the state, v first.
-    """
-    nodes = set(state)
-    nodes.discard(v)
-    comp = maximal_connected_ktruss(g, q, k, within=nodes)
-    removed = [v] + sorted(state - {v} - comp)
-    if not comp:
-        return set(), removed
-    return comp, removed
+    """Truss twin of :func:`delete_with_kcore_maintenance`: the new state is
+    the connected k-truss of ``state − v`` that contains q."""
+    return _delete_and_restore(maximal_connected_ktruss, g, state, q, k, v)

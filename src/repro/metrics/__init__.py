@@ -9,7 +9,6 @@ from .distance import (
     jaccard_distance,
     norm_stats_local,
     norm_stats_spark,
-    pair_distance,
 )
 
 __all__ = [
@@ -25,6 +24,5 @@ __all__ = [
     "jaccard_distance",
     "norm_stats_local",
     "norm_stats_spark",
-    "pair_distance",
     "vac_minmax",
 ]

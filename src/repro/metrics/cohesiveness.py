@@ -12,24 +12,18 @@ Table II scores every method's community under four metrics:
   shared by *every* community member (larger is better; we normalise the
   raw shared-attribute count by |Aᵗ(q)| so datasets with different
   vocabulary sizes are comparable) [ACQ, PVLDB'16].
+
+δ(H) and Min-max read f from :func:`~.distance.composite_distances_local`
+only: δ(H) as the row of q over H, Min-max as one row per member u over
+the members after it (:func:`worst_pair`, which VAC and E-VAC also use).
 """
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Dict, Optional, Set
-
-import numpy as np
+from typing import Optional, Set, Tuple
 
 from repro.graphs.local import LocalGraph
 
-from .distance import (
-    DEFAULT_GAMMA,
-    NormStats,
-    composite_distances_local,
-    delta,
-    norm_stats_local,
-    pair_distance,
-)
+from .distance import DEFAULT_GAMMA, NormStats, composite_distances_local, delta
 
 
 def delta_metric(
@@ -38,16 +32,35 @@ def delta_metric(
     q: int,
     gamma: float = DEFAULT_GAMMA,
     stats: Optional[NormStats] = None,
-    fvals: Optional[Dict[int, float]] = None,
 ) -> float:
     """δ(H) — the paper's metric (Definition 4).
 
     ``stats`` defaults to the min/max over every node of ``g``, the
     population SEA and Exact normalise over, so δ(H) agrees with theirs.
     """
-    if fvals is None:
-        fvals = composite_distances_local(g, q, gamma, stats, nodes=community)
-    return delta(fvals, community, q)
+    return delta(composite_distances_local(g, q, gamma, stats, nodes=community), community, q)
+
+
+def worst_pair(
+    g: LocalGraph,
+    community: Set[int],
+    gamma: float = DEFAULT_GAMMA,
+    stats: Optional[NormStats] = None,
+) -> Tuple[float, int, int]:
+    """``(f(u,v), u, v)`` for the most distant pair of the community.
+
+    One kernel row per member u (ascending) over the members v > u; the
+    first pair in that order wins a tie. ``(-1.0, -1, -1)`` for fewer than
+    two members.
+    """
+    members = sorted(community)
+    m, wu, wv = -1.0, -1, -1
+    for i, u in enumerate(members[:-1]):
+        row = composite_distances_local(g, u, gamma, stats, nodes=members[i + 1:])
+        v, d = max(row.items(), key=lambda t: t[1])
+        if d > m:
+            m, wu, wv = d, u, v
+    return m, wu, wv
 
 
 def vac_minmax(
@@ -59,11 +72,7 @@ def vac_minmax(
     """VAC objective: max pairwise composite distance in the community."""
     if len(community) < 2:
         return 0.0
-    if stats is None:
-        stats = norm_stats_local(g)
-    return max(
-        pair_distance(g, u, v, gamma, stats) for u, v in combinations(community, 2)
-    )
+    return worst_pair(g, community, gamma, stats)[0]
 
 
 def atc_coverage(g: LocalGraph, community: Set[int], q: int) -> float:

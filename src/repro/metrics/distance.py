@@ -15,10 +15,14 @@ Both a Spark dataflow (bulk: distance of *every* node to q, used by
 ``sea_search_spark``) and a local twin are provided; tests cross-validate
 them, check the Spark path against DuckDB SQL oracles and the local twin
 against the scalar definition (:func:`jaccard_distance` plus a per-node
-:meth:`NormStats.normalize`). The local twin is one numpy kernel over the
-graph's columnar attribute table (:class:`repro.graphs.local.AttrTable`,
-built on first use and cached on the ``LocalGraph``), so its cost is a
-few array passes rather than a Python loop over the nodes.
+:meth:`NormStats.normalize`). The local twin,
+:func:`composite_distances_local`, is the only local source of f: SEA,
+Exact and the δ(H) metric call it for their own q, and the pairwise
+distances of VAC's Min-max objective are its rows with each member in
+turn as the query. It is one numpy kernel over the graph's columnar
+attribute table (:class:`repro.graphs.local.AttrTable`, built on first
+use and cached on the ``LocalGraph``), so its cost is a few array passes
+rather than a Python loop over the nodes.
 
 Edge conventions: two empty token sets are identical (fᵗ=0); empty vs
 non-empty is maximally distant (fᵗ=1). A constant numerical dimension
@@ -94,26 +98,6 @@ def jaccard_distance(a: frozenset, b: frozenset) -> float:
         return 0.0
     union = len(a | b)
     return 1.0 - len(a & b) / union
-
-
-def pair_distance(
-    g: LocalGraph,
-    u: int,
-    v: int,
-    gamma: float = DEFAULT_GAMMA,
-    stats: Optional[NormStats] = None,
-) -> float:
-    """Composite distance f(u,v) between two nodes (local)."""
-    ft = jaccard_distance(g.tattrs.get(u, frozenset()), g.tattrs.get(v, frozenset()))
-    if stats is None:
-        stats = norm_stats_local(g)
-    if stats.ndim == 0:
-        fn = 0.0
-    else:
-        zu = stats.normalize(g.nattrs[u])
-        zv = stats.normalize(g.nattrs[v])
-        fn = float(np.abs(zu - zv).mean())
-    return gamma * ft + (1 - gamma) * fn
 
 
 def composite_distances_local(

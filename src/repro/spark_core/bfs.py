@@ -17,13 +17,14 @@ def prioritized_neighborhood(
     fvals: DataFrame,
     q: int,
     min_size: int,
-    max_iter: int = 100,
 ) -> DataFrame:
     """Grow ``G_q`` to ≥ ``min_size`` nodes (or q's whole component).
 
     ``edges_sym``: symmetric edges; ``fvals``: ``id, f`` composite
     attribute distances to q (from :mod:`repro.metrics.distance`).
-    Returns ``id, f`` for the selected nodes, q included.
+    Returns ``id, f`` for the selected nodes, q included.  Every round
+    either admits at least one unvisited node or stops, so the loop ends
+    after at most |component| rounds, with no cap that could cut G_q short.
     """
     spark = edges_sym.sparkSession
     visited = (
@@ -34,9 +35,7 @@ def prioritized_neighborhood(
     )
     frontier = visited.select("id")
     size = 1
-    for _ in range(max_iter):
-        if size >= min_size:
-            break
+    while size < min_size:
         layer = (
             edges_sym.join(frontier.withColumnRenamed("id", "src"), "src")
             .select(F.col("dst").alias("id"))

@@ -5,8 +5,8 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core import exact_cs
-from repro.experiments import prepare
-from repro.graphs import AttributedGraph, LocalGraph
+from repro.experiments import pick_queries, prepare
+from repro.graphs import AttributedGraph, LocalGraph, maximal_connected_kcore
 from repro.metrics import (
     NormStats,
     acq_shared,
@@ -19,7 +19,6 @@ from repro.metrics import (
     jaccard_distance,
     norm_stats_local,
     norm_stats_spark,
-    pair_distance,
     vac_minmax,
 )
 from repro.oracle import assert_equivalent
@@ -70,7 +69,14 @@ class TestNormStats:
         assert norm_stats_local(g).ndim == 0
 
 
+def pair(g, u, v, gamma, stats):
+    """f(u,v) as the kernel row of query u, read at v."""
+    return composite_distances_local(g, u, gamma, stats, nodes=[v])[v]
+
+
 class TestPairDistance:
+    """Pairwise f(u,v) — VAC's Min-max terms — from kernel rows."""
+
     @pytest.fixture()
     def g(self):
         return LocalGraph.from_edges(
@@ -81,25 +87,23 @@ class TestPairDistance:
 
     def test_symmetric(self, g):
         s = norm_stats_local(g)
-        assert pair_distance(g, 0, 2, 0.5, s) == pytest.approx(
-            pair_distance(g, 2, 0, 0.5, s)
-        )
+        assert pair(g, 0, 2, 0.5, s) == pytest.approx(pair(g, 2, 0, 0.5, s))
 
     def test_self_zero(self, g):
-        assert pair_distance(g, 0, 0, 0.5, norm_stats_local(g)) == 0.0
+        assert pair(g, 0, 0, 0.5, norm_stats_local(g)) == 0.0
 
     def test_gamma_blend(self, g):
         s = norm_stats_local(g)
         # 0 vs 1: identical tokens (ft=0), numeric 0 vs 1 → fn=1
-        assert pair_distance(g, 0, 1, 1.0, s) == 0.0
-        assert pair_distance(g, 0, 1, 0.0, s) == pytest.approx(1.0)
-        assert pair_distance(g, 0, 1, 0.3, s) == pytest.approx(0.7)
+        assert pair(g, 0, 1, 1.0, s) == 0.0
+        assert pair(g, 0, 1, 0.0, s) == pytest.approx(1.0)
+        assert pair(g, 0, 1, 0.3, s) == pytest.approx(0.7)
 
     def test_bounded(self, g):
         s = norm_stats_local(g)
         for u in g.adj:
             for v in g.adj:
-                assert 0.0 <= pair_distance(g, u, v, 0.5, s) <= 1.0
+                assert 0.0 <= pair(g, u, v, 0.5, s) <= 1.0
 
 
 class TestCompositeDistances:
@@ -303,6 +307,24 @@ def test_delta_metric_matches_exact_on_facebook():
         )
 
 
+@pytest.mark.parametrize("name,k", [("facebook", 5), ("dbpedia", 4)])
+def test_vac_minmax_matches_scalar_pairs(name, k):
+    """Min-max from kernel rows equals the maximum of the scalar f over
+    every pair of a k-core."""
+    prep = prepare(name)
+    q = pick_queries(prep, k, 1, seed=3)[0]
+    comm = sorted(maximal_connected_kcore(prep.graph, q, k))
+    assert len(comm) >= k + 1
+    s = norm_stats_local(prep.graph, nodes=list(prep.graph.adj))
+    want = max(
+        scalar_f(prep.graph, u, prep.gamma, s, [v])[v]
+        for i, u in enumerate(comm)
+        for v in comm[i + 1:]
+    )
+    got = vac_minmax(prep.graph, set(comm), prep.gamma, prep.stats)
+    assert got == pytest.approx(want, abs=1e-12)
+
+
 class TestDelta:
     def test_simple(self):
         f = {1: 0.2, 2: 0.4, 3: 0.9}
@@ -348,7 +370,7 @@ class TestCohesivenessMetrics:
         s = norm_stats_local(g)
         m = vac_minmax(g, {0, 1, 2, 3}, 0.5, s)
         worst = max(
-            pair_distance(g, u, v, 0.5, s)
+            scalar_f(g, u, 0.5, s, [v])[v]
             for u in range(4)
             for v in range(u + 1, 4)
         )
